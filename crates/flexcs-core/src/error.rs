@@ -15,6 +15,13 @@ pub enum CoreError {
         /// Usable pixels available.
         available: usize,
     },
+    /// A measurement was NaN or infinite, so no decode can be certified.
+    NonFiniteSample {
+        /// Position of the first non-finite value in the measurements.
+        index: usize,
+        /// The offending value.
+        value: f64,
+    },
     /// A transform failure (shape mismatches and the like).
     Transform(flexcs_transform::TransformError),
     /// A recovery-solver failure.
@@ -36,6 +43,9 @@ impl fmt::Display for CoreError {
                 f,
                 "requested {requested} samples but only {available} usable pixels remain"
             ),
+            CoreError::NonFiniteSample { index, value } => {
+                write!(f, "measurement {index} is not finite ({value})")
+            }
             CoreError::Transform(e) => write!(f, "transform failure: {e}"),
             CoreError::Solver(e) => write!(f, "solver failure: {e}"),
             CoreError::Linalg(e) => write!(f, "linear algebra failure: {e}"),

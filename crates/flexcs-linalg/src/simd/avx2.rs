@@ -15,12 +15,13 @@
 //!   multiply-add — so every lane performs exactly the scalar tier's
 //!   rounding sequence and results are bit-identical to
 //!   [`super::scalar`].
-//! - **Reductions** (`dot`, `diff_norm2_sq`, the dual-update residual)
-//!   run four/eight-wide FMA accumulators and therefore re-associate;
-//!   they agree with the scalar tier to ≤ 1e-12 relative. `dot` and
-//!   `diff_norm2_sq` share one accumulation structure, so
+//! - **Reductions** (`dot`, `diff_norm2_sq`, `asum`, the dual-update
+//!   residual) run four/eight-wide (FMA) accumulators and therefore
+//!   re-associate; they agree with the scalar tier to ≤ 1e-12 relative.
+//!   `dot` and `diff_norm2_sq` share one accumulation structure, so
 //!   `diff_norm2_sq(a, b)` stays bit-identical to `dot(d, d)` of the
-//!   materialized difference *within this tier*.
+//!   materialized difference *within this tier*. `amax` uses `maxpd`,
+//!   which is exact, so it is bit-identical to the scalar tier.
 //! - Soft-threshold branches are mirrored with a blend sequence whose
 //!   last write corresponds to the scalar `v > t` arm, reproducing the
 //!   scalar branch priority bit for bit (including `t < 0` and NaN
@@ -183,6 +184,77 @@ unsafe fn dot_inner(a: &[f64], b: &[f64]) -> f64 {
         i += 1;
     }
     s
+}
+
+/// `Σ |a_i|` with two four-lane accumulators (re-associated reduction;
+/// ≤ 1e-12 relative vs the scalar tier).
+pub fn asum(a: &[f64]) -> f64 {
+    // SAFETY: AVX2+FMA verified at tier selection.
+    unsafe { asum_inner(a) }
+}
+
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn asum_inner(a: &[f64]) -> f64 {
+    let n = a.len();
+    let ap = a.as_ptr();
+    // |v| clears the sign bit.
+    let sign = _mm256_set1_pd(-0.0);
+    let mut acc0 = _mm256_setzero_pd();
+    let mut acc1 = _mm256_setzero_pd();
+    let mut i = 0;
+    // SAFETY: i + 8 <= n.
+    while i + 8 <= n {
+        acc0 = _mm256_add_pd(acc0, _mm256_andnot_pd(sign, _mm256_loadu_pd(ap.add(i))));
+        acc1 = _mm256_add_pd(acc1, _mm256_andnot_pd(sign, _mm256_loadu_pd(ap.add(i + 4))));
+        i += 8;
+    }
+    if i + 4 <= n {
+        acc0 = _mm256_add_pd(acc0, _mm256_andnot_pd(sign, _mm256_loadu_pd(ap.add(i))));
+        i += 4;
+    }
+    let mut s = hsum(_mm256_add_pd(acc0, acc1));
+    while i < n {
+        s += (*ap.add(i)).abs();
+        i += 1;
+    }
+    s
+}
+
+/// `max |a_i|` (0 when empty), bit-identical to the scalar tier: max is
+/// exact, and NaN entries are skipped exactly like `f64::max` does.
+pub fn amax(a: &[f64]) -> f64 {
+    // SAFETY: AVX2+FMA verified at tier selection.
+    unsafe { amax_inner(a) }
+}
+
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn amax_inner(a: &[f64]) -> f64 {
+    let n = a.len();
+    let ap = a.as_ptr();
+    let sign = _mm256_set1_pd(-0.0);
+    let mut acc0 = _mm256_setzero_pd();
+    let mut acc1 = _mm256_setzero_pd();
+    let mut i = 0;
+    // `maxpd` returns its second operand when either input is NaN, so
+    // keeping the (never-NaN) accumulator second skips NaN entries.
+    // SAFETY: i + 8 <= n.
+    while i + 8 <= n {
+        acc0 = _mm256_max_pd(_mm256_andnot_pd(sign, _mm256_loadu_pd(ap.add(i))), acc0);
+        acc1 = _mm256_max_pd(_mm256_andnot_pd(sign, _mm256_loadu_pd(ap.add(i + 4))), acc1);
+        i += 8;
+    }
+    if i + 4 <= n {
+        acc0 = _mm256_max_pd(_mm256_andnot_pd(sign, _mm256_loadu_pd(ap.add(i))), acc0);
+        i += 4;
+    }
+    let acc = _mm256_max_pd(acc0, acc1);
+    let pair = _mm_max_pd(_mm256_castpd256_pd128(acc), _mm256_extractf128_pd(acc, 1));
+    let mut m = _mm_cvtsd_f64(pair).max(_mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair)));
+    while i < n {
+        m = m.max((*ap.add(i)).abs());
+        i += 1;
+    }
+    m
 }
 
 /// `Σ (a_i − b_i)²` with the same accumulator structure as [`dot`], so

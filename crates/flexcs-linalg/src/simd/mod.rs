@@ -24,13 +24,14 @@
 //!   are **bit-identical** across tiers: vector tiers use explicit
 //!   mul/add/sub intrinsics — never fused multiply-add — so each lane
 //!   performs the exact scalar rounding sequence.
-//! - *Reductions* (`dot`, `diff_norm2_sq`, the RPCA dual residual) may
-//!   **re-associate** (wide accumulators, FMA) and are pinned to the
-//!   scalar tier at ≤ 1e-12 relative error by property tests
-//!   (`flexcs-linalg/tests/simd_props.rs`). Within one tier,
-//!   `diff_norm2_sq(a, b)` is still bit-identical to `dot(d, d)` of the
-//!   materialized difference — callers rely on that for fused-vs-staged
-//!   equivalence.
+//! - *Reductions* (`dot`, `diff_norm2_sq`, `asum`, the RPCA dual
+//!   residual) may **re-associate** (wide accumulators, FMA) and are
+//!   pinned to the scalar tier at ≤ 1e-12 relative error by property
+//!   tests (`flexcs-linalg/tests/simd_props.rs`). `amax` is a reduction
+//!   too, but max is exact and order-free, so it stays bit-identical.
+//!   Within one tier, `diff_norm2_sq(a, b)` is still bit-identical to
+//!   `dot(d, d)` of the materialized difference — callers rely on that
+//!   for fused-vs-staged equivalence.
 //!
 //! ## Adding a kernel
 //!
@@ -115,6 +116,11 @@ pub struct Kernels {
     /// `Σ (a_i − b_i)²` (reduction, ≤ 1e-12 relative across tiers;
     /// bit-identical to `dot(d, d)` within a tier).
     pub diff_norm2_sq: fn(a: &[f64], b: &[f64]) -> f64,
+    /// `Σ |a_i|` (reduction, ≤ 1e-12 relative across tiers).
+    pub asum: fn(a: &[f64]) -> f64,
+    /// `max |a_i|`, skipping NaN entries (reduction, but max is exact
+    /// and order-free, so bit-identical across tiers).
+    pub amax: fn(a: &[f64]) -> f64,
     /// In-place soft threshold (elementwise, bit-identical).
     pub soft_threshold: fn(a: &mut [f64], t: f64),
     /// `out[i] = shrink(y[i] − step·g[i], t)` (elementwise,
@@ -150,6 +156,8 @@ static SCALAR: Kernels = Kernels {
     add: scalar::add,
     dot: scalar::dot,
     diff_norm2_sq: scalar::diff_norm2_sq,
+    asum: scalar::asum,
+    amax: scalar::amax,
     soft_threshold: scalar::soft_threshold,
     prox_grad_step: scalar::prox_grad_step,
     momentum: scalar::momentum,
@@ -169,6 +177,8 @@ static AVX2_FMA: Kernels = Kernels {
     add: avx2::add,
     dot: avx2::dot,
     diff_norm2_sq: avx2::diff_norm2_sq,
+    asum: avx2::asum,
+    amax: avx2::amax,
     soft_threshold: avx2::soft_threshold,
     prox_grad_step: avx2::prox_grad_step,
     momentum: avx2::momentum,
@@ -188,6 +198,8 @@ static NEON: Kernels = Kernels {
     add: neon::add,
     dot: neon::dot,
     diff_norm2_sq: neon::diff_norm2_sq,
+    asum: scalar::asum,
+    amax: scalar::amax,
     soft_threshold: neon::soft_threshold,
     prox_grad_step: neon::prox_grad_step,
     momentum: neon::momentum,
@@ -316,6 +328,9 @@ mod tests {
         assert!((d0 - d1).abs() <= 1e-12 * d1.abs().max(1.0));
         let (n0, n1) = ((k.diff_norm2_sq)(&a, &b), (s.diff_norm2_sq)(&a, &b));
         assert!((n0 - n1).abs() <= 1e-12 * n1.abs().max(1.0));
+        let (s0, s1) = ((k.asum)(&a), (s.asum)(&a));
+        assert!((s0 - s1).abs() <= 1e-12 * s1.abs().max(1.0));
+        assert_eq!((k.amax)(&a).to_bits(), (s.amax)(&a).to_bits());
     }
 
     #[test]

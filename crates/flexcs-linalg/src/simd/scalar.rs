@@ -57,6 +57,18 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
+/// `Σ |a_i|` (reference for [`super::Kernels::asum`]): strict
+/// index-order accumulation.
+pub fn asum(a: &[f64]) -> f64 {
+    a.iter().map(|v| v.abs()).sum()
+}
+
+/// `max |a_i|`, `0` for an empty slice (reference for
+/// [`super::Kernels::amax`]). `f64::max` skips NaN entries.
+pub fn amax(a: &[f64]) -> f64 {
+    a.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
+}
+
 /// `Σ (a_i − b_i)²` (reference for [`super::Kernels::diff_norm2_sq`]).
 ///
 /// Accumulates strictly in index order from `-0.0`, so the result is

@@ -177,6 +177,26 @@ proptest! {
     }
 
     #[test]
+    fn asum_within_reduction_tolerance(va in full_vec(), n in 0usize..MAX_LEN) {
+        let a = &va[..n];
+        assert_rel_close((simd::kernels().asum)(a), (simd::scalar_kernels().asum)(a), "asum");
+    }
+
+    #[test]
+    fn amax_bit_identical(va in full_vec(), n in 0usize..MAX_LEN, nan_at in 0usize..MAX_LEN) {
+        // Max is exact and order-free, so every tier matches the scalar
+        // reference bit for bit, NaN-skipping included.
+        let mut a = va[..n].to_vec();
+        let d = (simd::kernels().amax)(&a);
+        assert_bits_eq(&[d], &[(simd::scalar_kernels().amax)(&a)], "amax");
+        if nan_at < n {
+            a[nan_at] = f64::NAN;
+            let d = (simd::kernels().amax)(&a);
+            assert_bits_eq(&[d], &[(simd::scalar_kernels().amax)(&a)], "amax with NaN");
+        }
+    }
+
+    #[test]
     fn dual_update_residual_consistent(va in full_vec(), vb in full_vec(), vc in full_vec(), n in 0usize..MAX_LEN, mu in 0.1..10.0f64) {
         let (d, l, s) = (va[..n].to_vec(), vb[..n].to_vec(), vc[..n].to_vec());
         // y starts from d (any equal-length buffer works); the updated

@@ -9,8 +9,9 @@
 //! ## Architecture
 //!
 //! - **[`Session`]** — per-tenant state: the tenant's [`Decoder`]
-//!   (plan cache included) plus its [`DecodeWarmState`] (workspace +
-//!   previous solution + cached spectral norm). Owned exclusively by
+//!   (plan cache included) plus its [`DecodeWarmState`] (previous
+//!   solution + cached spectral norm; the solver's iterate arena is
+//!   per worker thread and swapped in per decode). Owned exclusively by
 //!   one worker at a time; frames decode in FIFO submission order, so
 //!   per-tenant results are bit-identical to a serial decode of the
 //!   same stream.

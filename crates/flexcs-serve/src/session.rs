@@ -3,8 +3,11 @@
 //! A [`Session`] owns everything expensive a tenant's decodes can
 //! amortize: the tenant's [`Decoder`] (whose internal `Dct2d` plan
 //! cache persists across frames), and a [`DecodeWarmState`] carrying
-//! the solver workspace arena plus the previous solution and cached
-//! spectral norm. The engine guarantees exclusive access — a session
+//! the previous solution and cached spectral norm. The solver's
+//! iterate arena belongs to the worker thread instead: it holds nothing
+//! between solves, so [`WarmDecodeBackend`] swaps the worker's arena in
+//! around each decode and an idle tenant costs only its carried
+//! solution. The engine guarantees exclusive access — a session
 //! is locked by exactly one worker at a time and its frames are
 //! decoded in FIFO submission order — so per-tenant results are
 //! bit-identical to running the same sequence serially, regardless of
@@ -15,6 +18,8 @@ use crate::tel;
 use flexcs_core::{
     AdaptiveConfig, AdaptivePipeline, DecodeWarmState, Decoder, Reconstruction, TierCounts,
 };
+use flexcs_solver::SolveWorkspace;
+use std::cell::RefCell;
 
 /// A frame submitted for decoding: measurements taken at a subset of
 /// pixel indices of a `rows x cols` frame (the paper's identity-subset
@@ -258,21 +263,42 @@ impl DecodeBackend for WarmDecodeBackend {
     ) -> flexcs_core::Result<Reconstruction> {
         if session.warm_decode() {
             let (decoder, warm, adaptive) = session.adaptive_parts();
-            if let Some(pipeline) = adaptive {
-                let (rec, tier) =
-                    pipeline.decode(decoder, req.rows, req.cols, &req.selected, &req.y, warm)?;
-                if tel::enabled() {
-                    tel::counter(&format!("serve.tier.{}", tier.name()), 1);
-                }
-                return Ok(rec);
-            }
-            decoder.reconstruct_warm(req.rows, req.cols, &req.selected, &req.y, warm)
+            WORKER_WORKSPACE.with(|arena| {
+                let mut arena = arena.borrow_mut();
+                warm.swap_workspace(&mut arena);
+                let out = decode_warm(decoder, warm, adaptive, req);
+                warm.swap_workspace(&mut arena);
+                out
+            })
         } else {
             session
                 .decoder()
                 .reconstruct(req.rows, req.cols, &req.selected, &req.y)
         }
     }
+}
+
+thread_local! {
+    /// The iterate arena every warm session decoded on this thread
+    /// borrows for the length of one decode.
+    static WORKER_WORKSPACE: RefCell<SolveWorkspace> = RefCell::new(SolveWorkspace::new());
+}
+
+fn decode_warm(
+    decoder: &Decoder,
+    warm: &mut DecodeWarmState,
+    adaptive: Option<&mut AdaptivePipeline>,
+    req: &FrameRequest,
+) -> flexcs_core::Result<Reconstruction> {
+    if let Some(pipeline) = adaptive {
+        let (rec, tier) =
+            pipeline.decode(decoder, req.rows, req.cols, &req.selected, &req.y, warm)?;
+        if tel::enabled() {
+            tel::counter(&format!("serve.tier.{}", tier.name()), 1);
+        }
+        return Ok(rec);
+    }
+    decoder.reconstruct_warm(req.rows, req.cols, &req.selected, &req.y, warm)
 }
 
 #[cfg(test)]

@@ -19,7 +19,10 @@ pub struct IstaConfig {
     pub lambda: f64,
     /// Iteration budget.
     pub max_iterations: usize,
-    /// Stop when the relative solution change drops below this.
+    /// Stop when the relative LASSO duality gap `(P − D)/P` at the
+    /// momentum point drops to this; the returned iterate's objective is
+    /// then within `tol·P` of optimal. `0` runs the full budget unless
+    /// the start is exactly optimal.
     pub tol: f64,
     /// Lipschitz constant `L ≥ ‖A‖₂²`; estimated by power iteration when
     /// `None`.
@@ -145,9 +148,21 @@ fn run_in(
                 iteration: iterations,
             });
         }
-        // Relative change stopping criterion.
-        let change = vecops::diff_norm2(&ws.x_next, &ws.x);
-        let scale = vecops::norm2(&ws.x_next).max(1e-12);
+        // Duality-gap certificate at y, from the residual r = A·y − b
+        // and gradient g = Aᵀr already at hand: θ = s·r with
+        // s = min(1, λ/‖g‖∞) is dual feasible, so P − D bounds y's
+        // suboptimality, and the prox step from y does no worse.
+        // Written so a NaN gap never certifies.
+        let rr = vecops::dot(&ws.r, &ws.r);
+        let primal = config.lambda * vecops::norm1(&ws.y) + 0.5 * rr;
+        let g_inf = vecops::norm_inf(&ws.grad);
+        let s = if g_inf > config.lambda {
+            config.lambda / g_inf
+        } else {
+            1.0
+        };
+        let dual = -s * vecops::dot(&ws.r, b) - 0.5 * s * s * rr;
+        let certified = primal - dual <= config.tol * primal;
         if accelerated {
             // Gradient-scheme adaptive restart (O'Donoghue & Candès):
             // drop momentum when it points against the descent
@@ -177,11 +192,10 @@ fn run_in(
         if tel::enabled() {
             // The gradient residual Ay − b is already at hand; reuse it
             // rather than re-applying the operator.
-            let rn = vecops::norm2(&ws.r);
-            let obj = config.lambda * vecops::norm1(&ws.x) + 0.5 * rn * rn;
-            tel::iteration(solver_name, iterations, obj, rn, step);
+            let obj = config.lambda * vecops::norm1(&ws.x) + 0.5 * rr;
+            tel::iteration(solver_name, iterations, obj, rr.sqrt(), step);
         }
-        if change <= config.tol * scale {
+        if certified {
             converged = true;
             break;
         }
@@ -345,14 +359,39 @@ mod tests {
 
     #[test]
     fn large_lambda_gives_zero_solution() {
+        // λ ≥ ‖Aᵀb‖∞ makes the cold start x = 0 optimal, and θ = A·0 − b
+        // is dual feasible, so the duality gap is exactly 0: even
+        // tol = 0 certifies at iteration 1, at the boundary λ = ‖Aᵀb‖∞
+        // included.
         let op = gaussian_operator(20, 40, 3);
         let b: Vec<f64> = (0..20).map(|i| (i as f64 * 0.3).sin()).collect();
-        // λ above ‖Aᵀb‖∞ forces x = 0.
-        let atb = op.apply_transpose(&b);
-        let lambda = vecops::norm_inf(&atb) * 1.5;
-        let rec = fista(&op, &b, &IstaConfig::with_lambda(lambda)).unwrap();
-        assert!(vecops::norm_inf(&rec.x) < 1e-10);
-        assert!(rec.report.converged);
+        let lambda_max = vecops::norm_inf(&op.apply_transpose(&b));
+        for lambda in [lambda_max, 1.5 * lambda_max] {
+            let mut cfg = IstaConfig::with_lambda(lambda);
+            cfg.tol = 0.0;
+            for rec in [fista(&op, &b, &cfg).unwrap(), ista(&op, &b, &cfg).unwrap()] {
+                assert_eq!(rec.report.iterations, 1, "lambda {lambda}");
+                assert!(rec.report.converged);
+                assert!(rec.x.iter().all(|&v| v == 0.0));
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_measurements_never_certify() {
+        let op = gaussian_operator(10, 20, 4);
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut b = vec![0.5; 10];
+            b[3] = bad;
+            match fista(&op, &b, &IstaConfig::with_lambda(1e-3)) {
+                Ok(rec) => assert!(
+                    !rec.report.converged && rec.report.iterations == 500,
+                    "{bad}: {:?}",
+                    rec.report
+                ),
+                Err(e) => assert!(matches!(e, SolverError::Diverged { .. }), "{e}"),
+            }
+        }
     }
 
     #[test]

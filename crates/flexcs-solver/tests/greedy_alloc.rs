@@ -7,17 +7,35 @@
 //! (the scattered solution vector and its support metadata) — the inner
 //! loop itself (correlation scan, merges, QR refits) must not touch the
 //! allocator once the arena has grown to the problem's high-water mark.
+//!
+//! The count is armed per thread, so allocations made by sibling tests
+//! running concurrently on other harness threads are not charged to the
+//! solve under measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations on this thread since [`count_allocations`] armed it;
+    /// `None` while disarmed. Const-initialized and drop-free, so the
+    /// allocator can touch it without allocating itself.
+    static ARMED_COUNT: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn note_allocation() {
+    // `try_with`: the slot may already be gone during thread teardown.
+    let _ = ARMED_COUNT.try_with(|c| {
+        if let Some(n) = c.get() {
+            c.set(Some(n + 1));
+        }
+    });
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         System.alloc(layout)
     }
 
@@ -26,7 +44,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -34,8 +52,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+/// Runs `f` and returns its result with the number of allocations the
+/// calling thread made inside it.
+fn count_allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    ARMED_COUNT.with(|c| c.set(Some(0)));
+    let out = f();
+    let count = ARMED_COUNT.with(|c| c.replace(None)).unwrap_or(0);
+    (out, count)
 }
 
 use flexcs_linalg::Matrix;
@@ -102,10 +125,11 @@ fn warmed_allocations(
     let mut ws = GreedyWorkspace::new();
     // Warm-up: grows every buffer to the high-water mark.
     let warm = solver(&op, &b, &cfg, &mut ws).unwrap();
-    let before = allocations();
-    let repeat = solver(&op, &b, &cfg, &mut ws).unwrap();
-    let during = allocations() - before;
+    let (repeat, during) = count_allocations(|| solver(&op, &b, &cfg, &mut ws).unwrap());
     assert_eq!(warm.x, repeat.x, "warmed repeat must be bit-identical");
+    // The returned solution vector alone is one allocation: a zero
+    // count would mean the counter is not observing this thread.
+    assert!(during >= 1, "allocation counter saw nothing");
     during
 }
 

@@ -132,6 +132,53 @@ proptest! {
     }
 
     #[test]
+    fn gap_certificate_bounds_suboptimality(
+        seed in 0u64..500,
+        k in 1usize..6,
+        li in 0usize..3,
+        ti in 0usize..3,
+    ) {
+        // A certified solve stops at y with P − D ≤ tol·P, and its
+        // returned prox step has objective F ≤ P. Since D ≤ F*, that
+        // gives F − F* ≤ tol·P ≤ tol·F/(1 − tol), checked with rounding
+        // slack against reference objectives F_ref ≥ F*: a 10k-iteration
+        // FISTA solve at tol 1e-12, and ADMM-BPDN, which does not lean on
+        // the certificate under test.
+        let (lambda, tol) = ([1e-3, 1e-2, 1e-1][li], [1e-2, 1e-3, 1e-4][ti]);
+        let (m, n) = (30, 60);
+        let op = gaussian_op(m, n, seed);
+        let x = sparse_truth(n, k, seed + 3);
+        let mut b = op.apply(&x);
+        for (i, v) in b.iter_mut().enumerate() {
+            *v += 0.01 * ((i as f64 + seed as f64) * 1.7).sin();
+        }
+        let mut cfg = IstaConfig::with_lambda(lambda);
+        cfg.max_iterations = 10_000;
+        cfg.tol = 1e-12;
+        let admm = AdmmConfig {
+            max_iterations: 20_000,
+            tol: 1e-12,
+            ..AdmmConfig::with_lambda(lambda)
+        };
+        let reference = fista(&op, &b, &cfg)
+            .unwrap()
+            .report
+            .objective
+            .min(admm_bpdn(&op, &b, &admm).unwrap().report.objective);
+        cfg.tol = tol;
+        let rec = fista(&op, &b, &cfg).unwrap();
+        prop_assert!(rec.report.converged, "{:?}", rec.report);
+        prop_assert!(rec.report.residual_norm.is_finite());
+        let f = rec.report.objective;
+        let bound = tol * f / (1.0 - tol) + 1e-12 * f;
+        prop_assert!(
+            f - reference <= bound,
+            "objective {f} vs reference {reference}: excess {} > {bound}",
+            f - reference
+        );
+    }
+
+    #[test]
     fn warm_fista_matches_cold_solution(seed in 0u64..200) {
         // Overdetermined LASSO (strongly convex): the minimizer is
         // unique, so a warm-seeded solve must land on the same point as
