@@ -119,8 +119,8 @@ fn main() {
     });
 
     // Same workload through a warm-decode session: every round seeds
-    // its solve from the previous solution, reuses one preallocated
-    // workspace, and skips the per-round power iteration. The session
+    // its solve from the previous solution and reuses one preallocated
+    // workspace. The session
     // persists across reps, so the timed calls measure the steady state
     // of a warm stream.
     let mut warm_session = StrategySession::new(strategy.clone()).with_warm_decode();

@@ -8,7 +8,7 @@
 
 use crate::error::{CoreError, Result};
 use flexcs_linalg::Matrix;
-use flexcs_solver::{power_iteration_norm, LinearOperator, NormCache};
+use flexcs_solver::LinearOperator;
 use flexcs_transform::{devectorize, haar2d_full_forward, haar2d_full_inverse, Dct2d};
 use std::sync::Arc;
 
@@ -55,6 +55,13 @@ impl BasisKind {
 
 /// Implicit `Φ_M·Ψ` operator for identity-subset sampling over an
 /// orthonormal 2-D basis (DCT by default).
+///
+/// Its spectral norm is known in closed form and computed once at
+/// construction. `AᵀA = Ψᵀ·diag(c)·Ψ`, where `c_j` counts how often
+/// pixel `j` is selected, and `Ψ` is orthogonal, so
+/// `‖A‖₂ = √(max_j c_j)`: exactly 1 for the distinct indices every
+/// sampling plan produces, `√k` when some index repeats `k` times, and
+/// 0 when nothing is selected.
 #[derive(Debug, Clone)]
 pub struct SubsampledDctOperator {
     rows: usize,
@@ -62,7 +69,7 @@ pub struct SubsampledDctOperator {
     plan: Arc<Dct2d>,
     selected: Vec<usize>,
     basis: BasisKind,
-    norm_cache: NormCache,
+    norm: f64,
 }
 
 impl SubsampledDctOperator {
@@ -117,11 +124,30 @@ impl SubsampledDctOperator {
                 "operator needs positive dimensions".to_string(),
             ));
         }
-        if selected.iter().any(|&i| i >= rows * cols) {
-            return Err(CoreError::InvalidConfig(
-                "selected index out of range".to_string(),
-            ));
+        // One scan range-checks the indices and notes whether they
+        // strictly ascend, which pins the spectral norm at 1.
+        let mut ascending = true;
+        for (k, &i) in selected.iter().enumerate() {
+            if i >= rows * cols {
+                return Err(CoreError::InvalidConfig(
+                    "selected index out of range".to_string(),
+                ));
+            }
+            ascending &= k == 0 || selected[k - 1] < i;
         }
+        let norm = if selected.is_empty() {
+            0.0
+        } else if ascending {
+            1.0
+        } else {
+            let mut counts = vec![0usize; rows * cols];
+            let mut max = 0;
+            for &i in &selected {
+                counts[i] += 1;
+                max = max.max(counts[i]);
+            }
+            (max as f64).sqrt()
+        };
         if basis == BasisKind::Haar && !(rows.is_power_of_two() && cols.is_power_of_two()) {
             return Err(CoreError::InvalidConfig(format!(
                 "haar basis requires power-of-two dimensions, got {rows}x{cols}"
@@ -139,7 +165,7 @@ impl SubsampledDctOperator {
             plan,
             selected,
             basis,
-            norm_cache: NormCache::new(),
+            norm,
         })
     }
 
@@ -162,6 +188,16 @@ impl SubsampledDctOperator {
     pub fn selected(&self) -> &[usize] {
         &self.selected
     }
+
+    /// `Φᵀ·y`: the measurements scattered into a zero frame. A repeated
+    /// index accumulates, which keeps the adjoint exact.
+    fn scatter(&self, y: &[f64]) -> Matrix {
+        let mut frame = Matrix::zeros(self.rows, self.cols);
+        for (&i, &v) in self.selected.iter().zip(y) {
+            frame[(i / self.cols, i % self.cols)] += v;
+        }
+        frame
+    }
 }
 
 impl LinearOperator for SubsampledDctOperator {
@@ -183,11 +219,7 @@ impl LinearOperator for SubsampledDctOperator {
 
     fn apply_transpose(&self, y: &[f64]) -> Vec<f64> {
         // Ψᵀ·Φᵀ·y = analysis(scatter(y)); Ψ orthonormal so Ψᵀ = Ψ⁻¹.
-        let mut frame = Matrix::zeros(self.rows, self.cols);
-        for (&i, &v) in self.selected.iter().zip(y) {
-            frame[(i / self.cols, i % self.cols)] = v;
-        }
-        self.basis.analyze(&frame, &self.plan).to_flat()
+        self.basis.analyze(&self.scatter(y), &self.plan).to_flat()
     }
 
     fn apply_into(&self, x: &[f64], out: &mut Vec<f64>) {
@@ -202,20 +234,17 @@ impl LinearOperator for SubsampledDctOperator {
     }
 
     fn apply_transpose_into(&self, y: &[f64], out: &mut Vec<f64>) {
-        let mut frame = Matrix::zeros(self.rows, self.cols);
-        for (&i, &v) in self.selected.iter().zip(y) {
-            frame[(i / self.cols, i % self.cols)] = v;
-        }
-        let coeffs = self.basis.analyze(&frame, &self.plan);
+        let coeffs = self.basis.analyze(&self.scatter(y), &self.plan);
         out.clear();
         out.extend_from_slice(coeffs.as_slice());
     }
 
-    fn spectral_norm_estimate(&self, iterations: usize) -> f64 {
-        // Each power iteration costs two 2-D transforms; ISTA asks for
-        // the Lipschitz constant on every solve, so cache it.
-        self.norm_cache
-            .get_or_compute(iterations, || power_iteration_norm(self, iterations))
+    /// The exact `‖A‖₂` computed at construction (see the type docs);
+    /// `iterations` is ignored. Power iteration would spend two 2-D
+    /// transforms per step only to approach this value from below, and
+    /// the decoder builds a fresh operator for every decode.
+    fn spectral_norm_estimate(&self, _iterations: usize) -> f64 {
+        self.norm
     }
 }
 
@@ -299,11 +328,90 @@ mod tests {
     }
 
     #[test]
-    fn spectral_norm_is_cached_across_calls() {
-        let op = SubsampledDctOperator::new(8, 8, (0..32).collect()).unwrap();
-        let first = op.spectral_norm_estimate(40);
-        assert_eq!(op.spectral_norm_estimate(40).to_bits(), first.to_bits());
-        assert_eq!(op.spectral_norm_estimate(10).to_bits(), first.to_bits());
+    fn exact_norm_counts_index_multiplicity() {
+        let norm = |selected: Vec<usize>| {
+            SubsampledDctOperator::new(4, 4, selected)
+                .unwrap()
+                .spectral_norm_estimate(0)
+        };
+        assert_eq!(norm(vec![]), 0.0);
+        assert_eq!(norm(vec![3]), 1.0);
+        assert_eq!(norm((0..16).collect()), 1.0);
+        assert_eq!(norm(vec![9, 2, 5]), 1.0);
+        assert_eq!(norm(vec![2, 2, 7]), 2f64.sqrt());
+        assert_eq!(norm(vec![5, 1, 5, 1, 5]), 3f64.sqrt());
+    }
+
+    /// Pixel subsets of one of five shapes: sorted, unsorted, with one
+    /// index repeated `k` times (returned), empty, or full.
+    fn subset(n: usize, kind: usize, seed: u64) -> (Vec<usize>, usize) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        fn shuffle(v: &mut [usize], rng: &mut StdRng) {
+            for i in (1..v.len()).rev() {
+                v.swap(i, rng.gen_range(0..i + 1));
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut picked: Vec<usize> = (0..n).filter(|_| rng.gen_bool(0.5)).collect();
+        if picked.is_empty() {
+            picked.push(rng.gen_range(0..n));
+        }
+        match kind {
+            0 => (picked, 1),
+            1 => {
+                shuffle(&mut picked, &mut rng);
+                (picked, 1)
+            }
+            2 => {
+                let k = rng.gen_range(2..=4);
+                let dup = picked[rng.gen_range(0..picked.len())];
+                picked.extend(std::iter::repeat_n(dup, k - 1));
+                shuffle(&mut picked, &mut rng);
+                (picked, k)
+            }
+            3 => (Vec::new(), 0),
+            _ => ((0..n).collect(), 1),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn exact_norm_matches_power_iteration(
+            log_rows in 0usize..5,
+            log_cols in 0usize..5,
+            dct_rows in 1usize..17,
+            dct_cols in 1usize..17,
+            haar in 0usize..2,
+            kind in 0usize..5,
+            seed in 0u64..u64::MAX,
+        ) {
+            let (basis, rows, cols) = if haar == 1 {
+                (BasisKind::Haar, 1 << log_rows, 1 << log_cols)
+            } else {
+                (BasisKind::Dct, dct_rows, dct_cols)
+            };
+            let (selected, k) = subset(rows * cols, kind, seed);
+            let m = selected.len();
+            let op = SubsampledDctOperator::with_basis(rows, cols, selected, basis).unwrap();
+            let exact = op.spectral_norm_estimate(30);
+            proptest::prop_assert_eq!(exact, (k as f64).sqrt());
+            let power = flexcs_solver::power_iteration_norm(&op, 200);
+            if m >= 1 {
+                proptest::prop_assert!((exact - power).abs() <= 1e-9, "exact {exact} power {power}");
+            } else {
+                proptest::prop_assert_eq!(power, 0.0);
+            }
+            proptest::prop_assert!(power <= exact + 1e-12, "power {power} over exact {exact}");
+            // Repeated indices accumulate in the adjoint, so it stays exact.
+            let x: Vec<f64> = (0..rows * cols).map(|i| ((i as f64) * 0.37).sin()).collect();
+            let y: Vec<f64> = (0..m).map(|i| ((i as f64) * 0.53).cos()).collect();
+            let lhs = vecops::dot(&op.apply(&x), &y);
+            let rhs = vecops::dot(&x, &op.apply_transpose(&y));
+            proptest::prop_assert!((lhs - rhs).abs() <= 1e-10 * (1.0 + lhs.abs()));
+        }
     }
 
     #[test]

@@ -69,10 +69,10 @@ impl Clone for Decoder {
 /// Passed to [`Decoder::reconstruct_warm`] across related solves —
 /// consecutive resampling rounds of one frame, or consecutive frames of
 /// a stream — so each solve after the first starts from the previous
-/// coefficients, reuses the preallocated iterate buffers, and skips the
-/// per-round power iteration. This composes with the RPCA subspace
-/// warm starts of the streaming session layer: RPCA carries the
-/// low-rank subspace across frames, this carries the sparse code.
+/// coefficients and reuses the preallocated iterate buffers. This
+/// composes with the RPCA subspace warm starts of the streaming session
+/// layer: RPCA carries the low-rank subspace across frames, this
+/// carries the sparse code.
 ///
 /// Cold solves through [`Decoder::reconstruct`] are unaffected; a
 /// shape or sampling-density change simply resets the carried state on
@@ -193,8 +193,8 @@ impl Decoder {
     /// [`Decoder::reconstruct`] with cross-solve warm starting: the
     /// solver is seeded from the previous solution carried in `state`,
     /// reuses its preallocated workspace, and serves the Lipschitz
-    /// constant from the cached spectral norm instead of re-running
-    /// power iteration. The first call on a fresh (or shape-changed)
+    /// constant from the cached spectral norm (with the wider warm
+    /// margin). The first call on a fresh (or shape-changed)
     /// state is bit-identical to [`Decoder::reconstruct`].
     ///
     /// # Errors
@@ -478,6 +478,35 @@ mod tests {
             certified <= capped + 1e-3,
             "certified rmse {certified} vs 400-iteration rmse {capped}"
         );
+    }
+
+    #[test]
+    fn cold_decode_uses_the_exact_norm() {
+        // The operator reports ‖A‖₂ = 1 exactly, so a cold default decode
+        // must equal FISTA run with L = 1.02 (the cold margin) and the
+        // decoder's scaled λ, bit for bit: nothing estimates the norm.
+        // On this plan 30 power steps stop at 1 − 2⁻⁵³, which would move
+        // L down one ulp and every iterate with it.
+        use flexcs_datasets::{normalize_unit, thermal_frames, ThermalConfig};
+        let truth = normalize_unit(&thermal_frames(&ThermalConfig::default(), 1, 7)[0]);
+        let plan = SamplingPlan::random_subset(1024, 512, &[], 3).unwrap();
+        let y = plan.measure(&truth.to_flat());
+        let rec = Decoder::default()
+            .reconstruct(32, 32, plan.selected(), &y)
+            .unwrap();
+        let op = SubsampledDctOperator::new(32, 32, plan.selected().to_vec()).unwrap();
+        let SparseSolver::Fista(mut cfg) = Decoder::default().solver().clone() else {
+            unreachable!("the default decoder runs FISTA");
+        };
+        cfg.lambda *= flexcs_linalg::vecops::norm_inf(&op.apply_transpose(&y));
+        cfg.lipschitz = Some(1.02);
+        let direct = flexcs_solver::fista(&op, &y, &cfg).unwrap();
+        assert_eq!(rec.report.iterations, direct.report.iterations);
+        let coeffs = rec.coefficients.to_flat();
+        assert_eq!(coeffs.len(), direct.x.len());
+        for (a, b) in coeffs.iter().zip(&direct.x) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]

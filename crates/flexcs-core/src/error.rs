@@ -73,8 +73,16 @@ impl From<flexcs_transform::TransformError> for CoreError {
 }
 
 impl From<flexcs_solver::SolverError> for CoreError {
+    /// Wraps a solver failure, except that a non-finite measurement
+    /// becomes [`CoreError::NonFiniteSample`], the same error the
+    /// decoder raises for it, whichever layer notices first.
     fn from(e: flexcs_solver::SolverError) -> Self {
-        CoreError::Solver(e)
+        match e {
+            flexcs_solver::SolverError::NonFiniteMeasurement { index, value } => {
+                CoreError::NonFiniteSample { index, value }
+            }
+            e => CoreError::Solver(e),
+        }
     }
 }
 
@@ -106,6 +114,18 @@ mod tests {
         assert!(e.to_string().contains("100"));
         let e: CoreError = flexcs_solver::SolverError::Diverged { iteration: 3 }.into();
         assert!(Error::source(&e).is_some());
+        let e: CoreError = flexcs_solver::SolverError::NonFiniteMeasurement {
+            index: 4,
+            value: f64::INFINITY,
+        }
+        .into();
+        assert_eq!(
+            e,
+            CoreError::NonFiniteSample {
+                index: 4,
+                value: f64::INFINITY
+            }
+        );
     }
 
     #[test]

@@ -305,8 +305,8 @@ struct SessionState {
 ///
 /// [`StrategySession::with_warm_decode`] additionally carries solver
 /// state across *decodes*: each resampling round and each frame seeds
-/// its solve from the previous solution's DCT coefficients, reuses one
-/// preallocated workspace, and skips the per-round power iteration.
+/// its solve from the previous solution's DCT coefficients and reuses
+/// one preallocated workspace.
 /// This trades bit-identity to the per-frame cold path for fewer
 /// solver iterations on correlated solves.
 #[derive(Debug, Clone)]

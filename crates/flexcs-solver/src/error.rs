@@ -13,6 +13,15 @@ pub enum SolverError {
         /// Provided measurement count.
         got: usize,
     },
+    /// A measurement was NaN or infinite. Every solver rejects such a
+    /// `b` on entry: a non-finite residual poisons each iterate, so no
+    /// result could be certified.
+    NonFiniteMeasurement {
+        /// Position of the first non-finite value in `b`.
+        index: usize,
+        /// The offending value.
+        value: f64,
+    },
     /// A solver parameter was outside its valid domain.
     InvalidParameter(String),
     /// The iteration diverged or produced non-finite values.
@@ -32,6 +41,9 @@ impl fmt::Display for SolverError {
                     f,
                     "measurement length {got} does not match operator rows {expected}"
                 )
+            }
+            SolverError::NonFiniteMeasurement { index, value } => {
+                write!(f, "measurement {index} is not finite ({value})")
             }
             SolverError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
             SolverError::Diverged { iteration } => {

@@ -102,8 +102,10 @@ pub trait LinearOperator {
 
     /// Estimates the spectral norm `‖A‖₂` by power iteration on `AᵀA`.
     ///
-    /// ISTA/FISTA use `1/‖A‖₂²` as a safe step size. Operators that are
-    /// solved repeatedly should override this to consult a [`NormCache`]
+    /// ISTA/FISTA use `1/‖A‖₂²` as a safe step size. Operators whose
+    /// norm is known in closed form override this to return it (the
+    /// value is then exact and `iterations` is ignored); operators that
+    /// are solved repeatedly should otherwise consult a [`NormCache`]
     /// (as [`DenseOperator`] does) so each ISTA run after the first gets
     /// the Lipschitz constant for free.
     fn spectral_norm_estimate(&self, iterations: usize) -> f64 {
@@ -115,7 +117,11 @@ pub trait LinearOperator {
 /// [`LinearOperator::spectral_norm_estimate`].
 ///
 /// Exposed so operators overriding the trait method with a cache can
-/// still reach the reference algorithm without recursing.
+/// still reach the reference algorithm without recursing. The loop runs
+/// through [`LinearOperator::apply_into`] and
+/// [`LinearOperator::apply_transpose_into`] with two reused buffers, so
+/// it allocates only those and the iterate; by the `apply_into`
+/// contract the result is bit-identical to the allocating products.
 pub fn power_iteration_norm<O: LinearOperator + ?Sized>(op: &O, iterations: usize) -> f64 {
     let n = op.cols();
     if n == 0 || op.rows() == 0 {
@@ -124,10 +130,12 @@ pub fn power_iteration_norm<O: LinearOperator + ?Sized>(op: &O, iterations: usiz
     let mut x: Vec<f64> = (0..n)
         .map(|i| 1.0 + 0.01 * ((i as f64) * 0.73).sin())
         .collect();
+    let mut ax = Vec::with_capacity(op.rows());
+    let mut atax = Vec::with_capacity(n);
     let mut norm = 0.0;
     for _ in 0..iterations.max(1) {
-        let ax = op.apply(&x);
-        let atax = op.apply_transpose(&ax);
+        op.apply_into(&x, &mut ax);
+        op.apply_transpose_into(&ax, &mut atax);
         let s = flexcs_linalg::vecops::norm2(&atax);
         if s == 0.0 {
             return 0.0;
@@ -181,17 +189,25 @@ impl Clone for NormCache {
     }
 }
 
-/// Validates that a measurement vector matches the operator's output
-/// dimension.
+/// Validates a measurement vector on solver entry: its length must
+/// match the operator's output dimension and every value must be finite.
 ///
 /// # Errors
 ///
-/// Returns [`SolverError::DimensionMismatch`] on disagreement.
+/// Returns [`SolverError::DimensionMismatch`] on disagreement and
+/// [`SolverError::NonFiniteMeasurement`] for the first NaN or infinite
+/// value.
 pub fn check_measurements(op: &dyn LinearOperator, b: &[f64]) -> Result<()> {
     if b.len() != op.rows() {
         return Err(SolverError::DimensionMismatch {
             expected: op.rows(),
             got: b.len(),
+        });
+    }
+    if let Some(index) = b.iter().position(|v| !v.is_finite()) {
+        return Err(SolverError::NonFiniteMeasurement {
+            index,
+            value: b[index],
         });
     }
     Ok(())
@@ -417,6 +433,41 @@ mod tests {
     }
 
     #[test]
+    fn power_iteration_matches_allocating_loop_bitwise() {
+        // The reference loop as it stood before the `*_into` rewrite.
+        fn allocating(op: &DenseOperator, iterations: usize) -> f64 {
+            let n = op.cols();
+            let mut x: Vec<f64> = (0..n)
+                .map(|i| 1.0 + 0.01 * ((i as f64) * 0.73).sin())
+                .collect();
+            let mut norm = 0.0;
+            for _ in 0..iterations.max(1) {
+                let ax = op.apply(&x);
+                let atax = op.apply_transpose(&ax);
+                let s = flexcs_linalg::vecops::norm2(&atax);
+                if s == 0.0 {
+                    return 0.0;
+                }
+                norm = s.sqrt();
+                for (xi, v) in x.iter_mut().zip(&atax) {
+                    *xi = v / s;
+                }
+            }
+            norm
+        }
+        let op = crate::testutil::gaussian_operator(23, 41, 5);
+        for iterations in [0, 1, 7, 30, 120] {
+            assert_eq!(
+                power_iteration_norm(&op, iterations).to_bits(),
+                allocating(&op, iterations).to_bits(),
+                "{iterations} iterations"
+            );
+        }
+        let zero = DenseOperator::new(Matrix::zeros(3, 4));
+        assert_eq!(power_iteration_norm(&zero, 30), 0.0);
+    }
+
+    #[test]
     fn spectral_norm_cache_serves_and_upgrades() {
         let op = sample_op();
         let est60 = op.spectral_norm_estimate(60);
@@ -460,6 +511,17 @@ mod tests {
                 got: 1
             })
         ));
+        // A length mismatch is reported before any value is inspected.
+        assert!(matches!(
+            check_measurements(&op, &[f64::NAN]),
+            Err(SolverError::DimensionMismatch { .. })
+        ));
+        match check_measurements(&op, &[1.0, f64::NEG_INFINITY]) {
+            Err(SolverError::NonFiniteMeasurement { index: 1, value }) => {
+                assert_eq!(value, f64::NEG_INFINITY)
+            }
+            other => panic!("expected NonFiniteMeasurement, got {other:?}"),
+        }
     }
 
     #[test]

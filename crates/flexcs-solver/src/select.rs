@@ -114,7 +114,7 @@ impl SparseSolver {
     /// [`SparseSolver::solve_in`] with cross-solve warm starting for the
     /// proximal-gradient solvers (ISTA/FISTA): the iterate is seeded
     /// from `warm`'s carried solution and the cached spectral norm
-    /// replaces per-solve power iteration. Solvers without a warm path
+    /// replaces a per-solve norm computation. Solvers without a warm path
     /// fall back to [`solve_in`].
     ///
     /// [`solve_in`]: SparseSolver::solve_in
@@ -207,6 +207,7 @@ impl fmt::Display for SparseSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::SolverError;
     use crate::testutil::{gaussian_operator, sparse_signal};
     use flexcs_linalg::vecops;
 
@@ -245,6 +246,46 @@ mod tests {
             let rec = solver.solve(&op, &b).unwrap();
             let err = vecops::norm2(&vecops::sub(&rec.x, &x_true)) / vecops::norm2(&x_true);
             assert!(err < 0.05, "{} relative error {err}", solver.name());
+        }
+    }
+
+    #[test]
+    fn every_solver_rejects_non_finite_measurements() {
+        let (m, n) = (12, 24);
+        let op = gaussian_operator(m, n, 7);
+        let b = op.apply(&sparse_signal(n, 3, 8));
+        let solvers = [
+            SparseSolver::Omp(GreedyConfig::with_sparsity(3)),
+            SparseSolver::Cosamp(GreedyConfig::with_sparsity(3)),
+            SparseSolver::SubspacePursuit(GreedyConfig::with_sparsity(3)),
+            SparseSolver::Ista(IstaConfig::default()),
+            SparseSolver::Fista(IstaConfig::default()),
+            SparseSolver::AdmmBpdn(AdmmConfig::default()),
+            SparseSolver::AdmmBasisPursuit(AdmmConfig::default()),
+            SparseSolver::Irls(IrlsConfig::default()),
+            SparseSolver::LpBasisPursuit(LpConfig::default()),
+            SparseSolver::ReweightedL1(ReweightedConfig::default()),
+        ];
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut poisoned = b.clone();
+            poisoned[5] = bad;
+            for solver in &solvers {
+                let mut ws = SolveWorkspace::new();
+                let mut warm = WarmStart::new();
+                let results = [
+                    solver.solve(&op, &poisoned),
+                    solver.solve_in(&op, &poisoned, &mut ws),
+                    solver.solve_warm(&op, &poisoned, &mut ws, &mut warm),
+                ];
+                for result in results {
+                    match result {
+                        Err(SolverError::NonFiniteMeasurement { index: 5, value }) => {
+                            assert_eq!(value.to_bits(), bad.to_bits())
+                        }
+                        other => panic!("{} with {bad}: {other:?}", solver.name()),
+                    }
+                }
+            }
         }
     }
 

@@ -3,10 +3,10 @@
 //! The paper's resampling strategy (Sec. 4) decodes several random
 //! measurement subsets of the *same frame* and medians the results, and
 //! the streaming pipeline decodes many highly correlated frames in a
-//! row. Both patterns repeat structurally identical solves, so the two
-//! dominant per-solve costs — heap traffic inside the iteration loops
-//! and the power-iteration Lipschitz estimate — are pure waste after
-//! the first round.
+//! row. Both patterns repeat structurally identical solves, so heap
+//! traffic inside the iteration loops and, for operators without a
+//! closed-form norm, the power-iteration Lipschitz estimate are pure
+//! waste after the first round.
 //!
 //! [`SolveWorkspace`] is a buffer arena borrowed by the `*_in` solver
 //! entry points ([`crate::fista_in`], [`crate::admm_bpdn_in`], …): all
@@ -18,8 +18,8 @@
 //!
 //! [`WarmStart`] carries state *between* related solves: the previous
 //! solution (used to seed the next solve's iterate) and a [`NormCache`]
-//! holding the spectral-norm estimate so later rounds skip power
-//! iteration entirely. It also keeps the `solver.warm_starts` /
+//! holding the spectral-norm estimate so later rounds never ask the
+//! operator for it again. It also keeps the `solver.warm_starts` /
 //! `solver.restarts` / `solver.warm.saved_iterations` telemetry
 //! counters.
 
@@ -108,7 +108,7 @@ impl SolveWorkspace {
 /// The first solve runs cold and records its solution and spectral
 /// norm; every later solve over an operator of the same shape is seeded
 /// from the previous solution and reuses the cached norm instead of
-/// re-running power iteration. A shape change resets the state.
+/// asking the operator again. A shape change resets the state.
 ///
 /// Warm-started FISTA additionally enables the O'Donoghue–Candès
 /// gradient-scheme adaptive restart so stale momentum cannot fight the
@@ -166,11 +166,15 @@ impl WarmStart {
 
     /// Lipschitz constant `L ≥ ‖A‖₂²` for the prox-gradient step.
     ///
-    /// First call per shape runs the same 30-step power iteration as
-    /// the cold path (1.02 safety margin, bit-identical `L`); later
-    /// calls serve the cached norm through [`NormCache`] with a wider
-    /// 1.05 margin, because row-resampled operators of the same shape
-    /// have slightly varying norms and a too-small `L` diverges.
+    /// First call per shape asks the operator for its norm exactly as
+    /// the cold path does (`spectral_norm_estimate(30)`, 1.02 margin,
+    /// bit-identical `L`); later calls serve the cached norm through
+    /// [`NormCache`] with a wider 1.05 margin, because later operators
+    /// of the same shape need not share the first one's norm (a dense
+    /// or reweighted operator's does vary) and a too-small `L`
+    /// diverges. The subsampled-basis operator's exact norm is the
+    /// same for every distinct-index plan, so there the wider margin
+    /// only shortens the warm step.
     pub(crate) fn lipschitz(&mut self, op: &dyn LinearOperator) -> f64 {
         self.prepare(op);
         let mut fresh = false;
